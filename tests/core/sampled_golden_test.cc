@@ -1,7 +1,7 @@
-// Golden regression for SAMPLED inference (inference_fanouts = {6, 4}):
-// the default config aggregates full neighbourhoods and never samples,
-// so the other goldens leave the alias-sampler path and its RNG draw
-// order unpinned. This test streams the 1211-record drift soak
+// Golden regression for SAMPLED inference: the default config
+// aggregates full neighbourhoods and never samples, so the other
+// goldens leave the alias-sampler path and its RNG draw order unpinned.
+// This test streams the 1211-record drift soak
 // (tests/data/golden/drift_*.csv) through two paths that both sample:
 //
 //   * core::Gem::Infer over its overlay (OverlayCtx forward, touched
@@ -10,13 +10,22 @@
 //   * a mutable embed::BiSageEmbedder::EmbedNew (BaseCtx forward over
 //     a graph that grows in place),
 //
-// and pins both bit-exactly per kernel backend. Regenerate after an
-// intentional numerics change:
+// and pins both bit-exactly per kernel backend, for three shapes:
+//
+//   * sampled_scores: 2 layers, inference_fanouts = {6, 4};
+//   * sampled_l3_scores: 3 layers, {6, 4, 3}. With two layers the MAC
+//     nodes at layer 1 are the stream's last consumers, so only a
+//     deeper model shows whether they advance it by the right draws;
+//   * sampled_l3_uniform_scores: the same with uniform sampling (the
+//     use_edge_weights ablation), which draws once per sample, not
+//     twice.
+//
+// Regenerate after an intentional numerics change:
 //
 //   GEM_REGEN_GOLDEN=1 GEM_KERNELS=scalar ./sampled_golden_test
 //   GEM_REGEN_GOLDEN=1 GEM_KERNELS=avx2   ./sampled_golden_test
 //
-// which rewrites tests/data/golden/sampled_scores.<backend>.golden
+// which rewrites tests/data/golden/sampled*_scores.<backend>.golden
 // (the input CSVs belong to drift_golden_test and are only read here).
 
 #include <cstdio>
@@ -43,22 +52,34 @@ std::string GoldenDir() {
   return std::string(GEM_TEST_DATA_DIR) + "/golden";
 }
 
+struct SampledCase {
+  const char* fixture;
+  std::vector<int> fanouts;
+  bool use_edge_weights;
+};
+
 /// The golden suites' deterministic single-threaded shape, with the
 /// training fanouts reused at inference time.
-embed::BiSageConfig SampledBiSageConfig() {
+embed::BiSageConfig SampledBiSageConfig(const SampledCase& c) {
   embed::BiSageConfig config;
   config.dimension = 16;
   config.epochs = 2;
   config.seed = 5;
   config.num_threads = 1;
   config.deterministic = true;
-  config.inference_fanouts = {6, 4};
+  config.num_layers = static_cast<int>(c.fanouts.size());
+  config.fanouts = c.fanouts;
+  config.inference_fanouts = c.fanouts;
+  config.use_edge_weights = c.use_edge_weights;
   return config;
 }
 
-TEST(SampledGoldenTest, SampledInferenceMatchesCommittedGolden) {
+class SampledGoldenTest : public ::testing::TestWithParam<SampledCase> {};
+
+TEST_P(SampledGoldenTest, SampledInferenceMatchesCommittedGolden) {
+  const SampledCase& c = GetParam();
   const std::string golden_path =
-      GoldenDir() + "/sampled_scores." +
+      GoldenDir() + "/" + c.fixture + "." +
       math::kernels::BackendName(math::kernels::ActiveBackend()) +
       ".golden";
   const bool regen = std::getenv("GEM_REGEN_GOLDEN") != nullptr;
@@ -70,11 +91,11 @@ TEST(SampledGoldenTest, SampledInferenceMatchesCommittedGolden) {
   ASSERT_GE(test.value().size(), 1000u);
 
   GemConfig config;
-  config.bisage = SampledBiSageConfig();
+  config.bisage = SampledBiSageConfig(c);
   Gem gem(config);
   ASSERT_TRUE(gem.Train(train.value()).ok());
 
-  embed::BiSageEmbedder embedder(SampledBiSageConfig());
+  embed::BiSageEmbedder embedder(SampledBiSageConfig(c));
   ASSERT_TRUE(embedder.Fit(train.value()).ok());
 
   std::vector<std::string> actual;
@@ -122,6 +143,13 @@ TEST(SampledGoldenTest, SampledInferenceMatchesCommittedGolden) {
         << "GEM_REGEN_GOLDEN=1 and commit";
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SampledGoldenTest,
+    ::testing::Values(SampledCase{"sampled_scores", {6, 4}, true},
+                      SampledCase{"sampled_l3_scores", {6, 4, 3}, true},
+                      SampledCase{"sampled_l3_uniform_scores", {6, 4, 3},
+                                  false}));
 
 }  // namespace
 }  // namespace gem::core
