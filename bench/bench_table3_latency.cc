@@ -10,9 +10,14 @@
 // skips google-benchmark and instead drives the full serving path —
 // FenceRegistry lookup, per-fence serialization, Gem::Infer — through
 // serve::Engine::InferBlocking, then writes p50/p99/mean request
-// latency as JSON. --trace_out (or GEM_PROFILE=<path>) records the
-// per-thread timeline to Chrome trace-event JSON and adds a "stages"
-// attribution array to the bench JSON.
+// latency as JSON, plus p50_first_ms / p50_last_ms: the p50 of the
+// run's first and last 400 requests. Every request grows the fence's
+// overlay, so their ratio shows whether per-request cost depends on
+// the fence's history (bench/check_bench.py gates it; CI runs a
+// --requests=8000 steady-state leg for that). --trace_out (or
+// GEM_PROFILE=<path>) records the per-thread timeline to Chrome
+// trace-event JSON and adds a "stages" attribution array to the bench
+// JSON.
 
 #include <benchmark/benchmark.h>
 
@@ -129,11 +134,25 @@ double PercentileMs(const std::vector<double>& sorted, double q) {
   return sorted[index];
 }
 
+/// Requests in each of the first/last windows whose p50s the
+/// steady-state gate compares.
+constexpr size_t kSteadyWindow = 400;
+
+/// p50 of latencies_ms[begin, begin + count), in arrival order.
+double WindowP50Ms(const std::vector<double>& latencies_ms, size_t begin,
+                   size_t count) {
+  std::vector<double> window(latencies_ms.begin() + begin,
+                             latencies_ms.begin() + begin + count);
+  std::sort(window.begin(), window.end());
+  return PercentileMs(window, 0.50);
+}
+
 /// Serves `request_count` single-record queries against one loaded
 /// fence via the engine's blocking path and writes the latency
 /// distribution to `bench_out` as JSON:
 ///   {"workload": "serve_latency", "requests": ...,
-///    "p50_ms": ..., "p99_ms": ..., "mean_ms": ...}
+///    "p50_ms": ..., "p99_ms": ..., "mean_ms": ...,
+///    "p50_first_ms": ..., "p50_last_ms": ...}
 int RunServeLatency(const std::string& bench_out, int request_count,
                     const std::string& trace_out) {
   LatencySetup setup;
@@ -198,6 +217,10 @@ int RunServeLatency(const std::string& bench_out, int request_count,
     std::fprintf(stderr, "wrote %s\n", trace_out.c_str());
   }
 
+  const size_t window = std::min(kSteadyWindow, latencies_ms.size());
+  const double p50_first = WindowP50Ms(latencies_ms, 0, window);
+  const double p50_last =
+      WindowP50Ms(latencies_ms, latencies_ms.size() - window, window);
   std::sort(latencies_ms.begin(), latencies_ms.end());
   double sum = 0.0;
   for (const double ms : latencies_ms) sum += ms;
@@ -208,6 +231,8 @@ int RunServeLatency(const std::string& bench_out, int request_count,
   std::printf("=== Serve latency (engine InferBlocking, 1 fence) ===\n");
   std::printf("requests %d  p50 %.3f ms  p99 %.3f ms  mean %.3f ms\n",
               request_count, p50, p99, mean);
+  std::printf("p50 first %zu %.3f ms  last %zu %.3f ms  (ratio %.2f)\n",
+              window, p50_first, window, p50_last, p50_last / p50_first);
 
   std::ofstream out(bench_out);
   if (!out) {
@@ -217,7 +242,9 @@ int RunServeLatency(const std::string& bench_out, int request_count,
   out << "{\"workload\": \"serve_latency\", \"fence\": \"home\", "
       << "\"threads\": " << options.num_threads
       << ", \"requests\": " << request_count << ", \"p50_ms\": " << p50
-      << ", \"p99_ms\": " << p99 << ", \"mean_ms\": " << mean;
+      << ", \"p99_ms\": " << p99 << ", \"mean_ms\": " << mean
+      << ", \"p50_first_ms\": " << p50_first
+      << ", \"p50_last_ms\": " << p50_last;
   if (!stages_json.empty()) out << ", \"stages\": " << stages_json;
   out << "}\n";
   return out ? 0 : 1;

@@ -31,6 +31,15 @@ deterministic runs may cost at most 1.3x single-thread). Budgets are
 hard only up to the producing machine's ``host_cpus``; above it they
 warn. See check_scaling() for the exact rules.
 
+Serve artifacts (``workload == "serve_latency"``) that carry
+``p50_first_ms`` and ``p50_last_ms`` (the p50 of the run's first and
+last 400 requests) additionally pass a STEADY-STATE gate:
+``p50_last_ms / p50_first_ms`` must stay at or under 1.2. Both numbers
+come from one run on one host, so the ratio does not depend on the
+runner; it catches per-request cost that grows with a fence's traffic
+history (every served request joins the fence's overlay). See
+check_steady_state().
+
 Exit codes: 0 ok (warnings allowed), 1 regression (or a baselined
 metric missing from the current run), 2 usage/IO/parse error.
 
@@ -64,6 +73,11 @@ ID_FIELDS = ("threads", "deterministic", "kernel", "dim", "backend",
 # past 1.3x the single-thread cost at any thread count.
 SCALING_BUDGETS = {2: 0.85, 4: 0.60, 8: 0.35}
 DETERMINISTIC_SCALING_BUDGET = 1.3
+
+# Steady-state serving budget: p50 of the last 400 requests over p50 of
+# the first 400, within one run. Before per-request cost was made
+# independent of history, an 8000-request run measured about 6x.
+STEADY_STATE_BUDGET = 1.2
 
 
 def flatten(node, prefix=""):
@@ -226,6 +240,37 @@ def check_scaling(name, current_path):
     return failures, warnings
 
 
+def check_steady_state(name, current_path):
+    """Steady-state gate for serve latency artifacts.
+
+    Self-gating like the scaling gate: judges the CURRENT run's
+    p50_last_ms / p50_first_ms against STEADY_STATE_BUDGET. Artifacts
+    without both fields (produced before the split existed) are not
+    judged. Returns (num_failures, num_warnings).
+    """
+    with open(current_path, "r", encoding="utf-8") as f:
+        doc = json.load(f)
+    if not isinstance(doc, dict) or doc.get("workload") != "serve_latency":
+        return 0, 0
+    first = doc.get("p50_first_ms")
+    last = doc.get("p50_last_ms")
+    if not isinstance(first, (int, float)) or not isinstance(
+            last, (int, float)):
+        return 0, 0
+    if first <= 0.0:
+        print(f"SKIP {name}: p50_first_ms is {first:.6g}")
+        return 0, 0
+    ratio = last / first
+    line = (f"{name}: steady state p50_last_ms/p50_first_ms = {ratio:.3f} "
+            f"over {doc.get('requests', '?')} requests "
+            f"(budget {STEADY_STATE_BUDGET:.2f})")
+    if ratio <= STEADY_STATE_BUDGET:
+        print(f"  OK {line}")
+        return 0, 0
+    print(f"FAIL {line}")
+    return 1, 0
+
+
 def compare_file(name, baseline_path, current_path, fail_pct, warn_pct):
     """Returns (num_regressions, num_warnings) for one artifact pair."""
     base = load_metrics(baseline_path)
@@ -309,11 +354,15 @@ def main(argv):
             acc_failures, acc_warnings = check_accuracy(name, current_path)
             scale_failures, scale_warnings = check_scaling(
                 name, current_path)
+            steady_failures, steady_warnings = check_steady_state(
+                name, current_path)
         except (OSError, json.JSONDecodeError) as e:
             print(f"error: {name}: {e}", file=sys.stderr)
             return 2
-        total_regressions += regressions + acc_failures + scale_failures
-        total_warnings += warnings + acc_warnings + scale_warnings
+        total_regressions += (regressions + acc_failures + scale_failures +
+                              steady_failures)
+        total_warnings += (warnings + acc_warnings + scale_warnings +
+                           steady_warnings)
 
     verdict = "FAIL" if total_regressions else "OK"
     print(f"{verdict}: {total_regressions} regression(s), "

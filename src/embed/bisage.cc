@@ -251,9 +251,15 @@ void BiSage::EnsureCapacity(const graph::BipartiteGraph& graph,
   }
 }
 
+bool BiSage::SamplesAtInference() const {
+  return std::any_of(config_.inference_fanouts.begin(),
+                     config_.inference_fanouts.end(),
+                     [](int fanout) { return fanout > 0; });
+}
+
 void BiSage::PrepareInference(const graph::BipartiteGraph& graph) const {
   EnsureCapacity(graph, graph.num_nodes());
-  graph.WarmCaches();
+  if (SamplesAtInference()) graph.WarmCaches();
 }
 
 /// One gradient shard's reusable engine state. The two tape engines
@@ -629,6 +635,7 @@ void BiSage::InferScratch::Reset(int num_layers, int dimension) {
   temps_.assign(static_cast<size_t>(num_layers) * 4 * dimension, 0.0);
   sampled_.resize(num_layers);
   coeffs_.resize(num_layers);
+  aggregated_rows_ = 0;
 }
 
 template <typename Ctx>
@@ -644,8 +651,15 @@ size_t BiSage::ForwardNode(const Ctx& ctx, graph::NodeId node, int layer,
   if (layer == 0) {
     off = scratch.arena_.size();
     scratch.arena_.resize(off + 2 * d);
-    std::copy_n(ctx.h_row(node), d, scratch.arena_.data() + off);
-    std::copy_n(ctx.l_row(node), d, scratch.arena_.data() + off + d);
+    if (ctx.type(node) == graph::NodeType::kRecord) {
+      // A record's layer-0 features are zero by the model, not by the
+      // table's contents (its row is never read): its embedding is a
+      // pure function of its weighted MAC membership.
+      std::fill_n(scratch.arena_.data() + off, 2 * d, 0.0);
+    } else {
+      std::copy_n(ctx.h_row(node), d, scratch.arena_.data() + off);
+      std::copy_n(ctx.l_row(node), d, scratch.arena_.data() + off + d);
+    }
   } else {
     const size_t self_off = ForwardNode(ctx, node, layer - 1, rng, scratch);
     const int fanout = config_.inference_fanouts[config_.num_layers - layer];
@@ -654,7 +668,20 @@ size_t BiSage::ForwardNode(const Ctx& ctx, graph::NodeId node, int layer,
     // allocation-free path — the adjacency is copied into the reused
     // per-layer buffer, never freshly allocated).
     std::vector<graph::Neighbor>& sampled = scratch.sampled_[layer - 1];
-    if (fanout <= 0) {
+    if (layer == 1 && ctx.type(node) == graph::NodeType::kMac) {
+      // A MAC's layer-1 neighbours are records at layer 0, whose
+      // features are zero: Equations (3)/(5) sum to exactly +0 however
+      // many records the MAC has seen, so nothing is aggregated and the
+      // cost stays independent of the fence's history. Sampled mode
+      // still advances the stream by the draws the skipped sample
+      // would have made (2 per alias draw, 1 per uniform draw, none
+      // for an empty row), so every later draw is unchanged.
+      sampled.clear();
+      if (fanout > 0 && ctx.degree(node) > 0) {
+        const int draws = config_.use_edge_weights ? 2 * fanout : fanout;
+        for (int i = 0; i < draws; ++i) rng.Next();
+      }
+    } else if (fanout <= 0) {
       const auto& adj = ctx.neighbors(node);
       sampled.assign(adj.begin(), adj.end());
     } else if (config_.use_edge_weights) {
@@ -703,6 +730,7 @@ size_t BiSage::ForwardNode(const Ctx& ctx, graph::NodeId node, int layer,
         ops.add_scaled(h_agg, child + d, coeffs[i], d);
         ops.add_scaled(l_agg, child, coeffs[i], d);
       }
+      scratch.aggregated_rows_ += static_cast<long>(sampled.size());
     }
     off = scratch.arena_.size();
     scratch.arena_.resize(off + 2 * d);
@@ -730,20 +758,23 @@ size_t BiSage::ForwardNode(const Ctx& ctx, graph::NodeId node, int layer,
   return off;
 }
 
-void BiSage::EmbedForward(const graph::BipartiteGraph& graph,
-                          graph::NodeId node, InferScratch& scratch,
-                          double* h_out, double* l_out) const {
-  GEM_CHECK(config_status_.ok());
-  GEM_CHECK(node >= 0 && node < graph.num_nodes());
-  EnsureCapacity(graph, graph.num_nodes());
+template <typename Ctx>
+void BiSage::EmbedWith(const Ctx& ctx, graph::NodeId node,
+                       InferScratch& scratch, double* h_out,
+                       double* l_out) const {
+  static obs::Counter& aggregated_rows = obs::MetricsRegistry::Get().GetCounter(
+      "gem_bisage_aggregated_rows_total");
   scratch.Reset(config_.num_layers, config_.dimension);
   // Per-node deterministic sampling stream so repeated queries agree
   // (and so a batch of nodes embeds identically at any thread count).
+  // Node ids, and so seeds, match between the mutable and overlay
+  // paths because GraphDelta assigns ids in the same order AddRecord
+  // on a mutable graph would.
   math::Rng rng(config_.seed ^ (0x9E3779B97F4A7C15ULL *
                                 (static_cast<uint64_t>(node) + 1)));
-  const BaseCtx ctx{graph, h_table_, l_table_};
   const size_t off = ForwardNode(ctx, node, config_.num_layers, rng,
                                  scratch);
+  aggregated_rows.Increment(static_cast<uint64_t>(scratch.aggregated_rows_));
   const int d = config_.dimension;
   if (h_out != nullptr) {
     std::copy_n(scratch.arena_.data() + off, d, h_out);
@@ -751,6 +782,15 @@ void BiSage::EmbedForward(const graph::BipartiteGraph& graph,
   if (l_out != nullptr) {
     std::copy_n(scratch.arena_.data() + off + d, d, l_out);
   }
+}
+
+void BiSage::EmbedForward(const graph::BipartiteGraph& graph,
+                          graph::NodeId node, InferScratch& scratch,
+                          double* h_out, double* l_out) const {
+  GEM_CHECK(config_status_.ok());
+  GEM_CHECK(node >= 0 && node < graph.num_nodes());
+  EnsureCapacity(graph, graph.num_nodes());
+  EmbedWith(BaseCtx{graph, h_table_, l_table_}, node, scratch, h_out, l_out);
 }
 
 void BiSage::EnsureOverlayCapacity(const graph::OverlayGraphView& view,
@@ -789,7 +829,9 @@ void BiSage::EnsureOverlayCapacity(const graph::OverlayGraphView& view,
 void BiSage::PrepareInference(const graph::OverlayGraphView& view,
                               NodeTableDelta& tables) const {
   EnsureOverlayCapacity(view, tables, view.num_nodes());
-  view.WarmCaches();
+  // Full-neighbourhood inference never samples, and warming builds an
+  // alias table per touched and new delta row: O(delta) per batch.
+  if (SamplesAtInference()) view.WarmCaches();
 }
 
 void BiSage::EmbedForward(const graph::OverlayGraphView& view,
@@ -799,22 +841,8 @@ void BiSage::EmbedForward(const graph::OverlayGraphView& view,
   GEM_CHECK(config_status_.ok());
   GEM_CHECK(node >= 0 && node < view.num_nodes());
   EnsureOverlayCapacity(view, tables, view.num_nodes());
-  scratch.Reset(config_.num_layers, config_.dimension);
-  // Same per-node stream as the mutable path: node ids (and so seeds)
-  // match because GraphDelta assigns ids in the same order AddRecord
-  // on a mutable graph would.
-  math::Rng rng(config_.seed ^ (0x9E3779B97F4A7C15ULL *
-                                (static_cast<uint64_t>(node) + 1)));
-  const OverlayCtx ctx{view, h_table_, l_table_, tables};
-  const size_t off = ForwardNode(ctx, node, config_.num_layers, rng,
-                                 scratch);
-  const int d = config_.dimension;
-  if (h_out != nullptr) {
-    std::copy_n(scratch.arena_.data() + off, d, h_out);
-  }
-  if (l_out != nullptr) {
-    std::copy_n(scratch.arena_.data() + off + d, d, l_out);
-  }
+  EmbedWith(OverlayCtx{view, h_table_, l_table_, tables}, node, scratch,
+            h_out, l_out);
 }
 
 math::Vec BiSage::PrimaryEmbedding(const graph::BipartiteGraph& graph,

@@ -167,6 +167,12 @@ class BiSage {
    public:
     InferScratch() = default;
 
+    /// Neighbour rows aggregated (Equations (3)/(5) terms summed) by
+    /// the last EmbedForward through this scratch. Bounded by the
+    /// query's own two-hop fan-in, not by the graph's history: a MAC's
+    /// record neighbours contribute nothing (see ForwardNode).
+    long aggregated_rows() const { return aggregated_rows_; }
+
    private:
     friend class BiSage;
     void Reset(int num_layers, int dimension);
@@ -181,6 +187,7 @@ class BiSage {
     /// Per-layer sampled-neighbor and coefficient buffers.
     std::vector<std::vector<graph::Neighbor>> sampled_;
     std::vector<math::Vec> coeffs_;
+    long aggregated_rows_ = 0;
   };
 
   /// Tape-free forward-only inference: evaluates Equations (3)-(7) for
@@ -204,16 +211,18 @@ class BiSage {
                     double* l_out = nullptr) const;
 
   /// Makes concurrent PrimaryEmbedding/AuxiliaryEmbedding calls over
-  /// `graph` safe: grows the node tables to cover the whole graph and
-  /// warms the graph's sampling caches, so the parallel reads that
-  /// follow touch no lazily-built state. Must be re-run after the
-  /// graph grows. Called by EmbedNewBatch; callers doing their own
-  /// fan-out call it once before spawning.
+  /// `graph` safe: grows the node tables to cover the whole graph and,
+  /// when some inference fanout samples (> 0), warms the graph's
+  /// sampling caches, so the parallel reads that follow touch no
+  /// lazily-built state. Must be re-run after the graph grows. Called
+  /// by EmbedNewBatch; callers doing their own fan-out call it once
+  /// before spawning.
   void PrepareInference(const graph::BipartiteGraph& graph) const;
 
   /// Overlay counterpart of PrepareInference: grows the delta tables
-  /// to cover the merged graph and warms base + delta sampling caches.
-  /// Must be re-run after the delta grows.
+  /// to cover the merged graph and, when inference samples, warms
+  /// base + delta sampling caches. Must be re-run after the delta
+  /// grows.
   void PrepareInference(const graph::OverlayGraphView& view,
                         NodeTableDelta& tables) const;
 
@@ -314,11 +323,21 @@ class BiSage {
   struct BaseCtx;
   struct OverlayCtx;
 
+  /// Shared body of both EmbedForward overloads: seeds the node's
+  /// stream, runs ForwardNode and copies the top-layer slab out.
+  template <typename Ctx>
+  void EmbedWith(const Ctx& ctx, graph::NodeId node, InferScratch& scratch,
+                 double* h_out, double* l_out) const;
+
   /// Recursive worker of EmbedForward: returns the arena offset of the
   /// memoized (h^layer, l^layer) slab for `node`.
   template <typename Ctx>
   size_t ForwardNode(const Ctx& ctx, graph::NodeId node, int layer,
                      math::Rng& rng, InferScratch& scratch) const;
+
+  /// True when some inference fanout is > 0, i.e. inference draws
+  /// neighbour samples and needs warm sampling caches.
+  bool SamplesAtInference() const;
 
   BiSageConfig config_;
   Status config_status_;

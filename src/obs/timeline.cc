@@ -28,6 +28,9 @@ struct ThreadBuffer {
 
   std::mutex name_mutex;
   std::string name;  // guarded by name_mutex
+  // Set (under TimelineState::mutex) once the owning thread has exited
+  // holding events; the next Enable/Clear drops the buffer.
+  bool exited = false;
 
   void Push(const TimelineEvent& event) {
     const size_t n = size.load(std::memory_order_relaxed);
@@ -43,10 +46,23 @@ struct ThreadBuffer {
 struct TimelineState {
   std::mutex mutex;
   // shared_ptr so a buffer outlives its thread: the registry keeps
-  // one reference, the thread_local holder another.
+  // one reference, the thread_local slot another. A thread that exits
+  // holding events stays registered (its events are still exported)
+  // until the next Enable/Clear empties it.
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;  // guarded
+  int next_tid = 0;                                    // guarded
   size_t events_per_thread = TimelineOptions{}.events_per_thread;
   std::atomic<int64_t> epoch_ns{0};
+
+  /// Empties every buffer and drops those of exited threads. Caller
+  /// holds `mutex`.
+  void ResetBuffersLocked() {
+    for (auto& buffer : buffers) {
+      buffer->size.store(0, std::memory_order_release);
+      buffer->dropped.store(0, std::memory_order_relaxed);
+    }
+    std::erase_if(buffers, [](const auto& buffer) { return buffer->exited; });
+  }
 };
 
 TimelineState& State() {
@@ -60,16 +76,42 @@ int64_t SteadyNowNs() {
       .count();
 }
 
-ThreadBuffer& LocalBuffer() {
-  thread_local std::shared_ptr<ThreadBuffer> holder = [] {
+/// The calling thread's registration: just its name until it records
+/// its first event, then its ring buffer. A thread that never records
+/// (a pool worker of an untraced run) allocates and registers nothing.
+struct LocalSlot {
+  std::string name;
+  std::shared_ptr<ThreadBuffer> buffer;
+
+  ~LocalSlot() {
+    if (!buffer) return;
     TimelineState& state = State();
     std::lock_guard<std::mutex> lock(state.mutex);
-    auto buffer = std::make_shared<ThreadBuffer>(
-        static_cast<int>(state.buffers.size()), state.events_per_thread);
-    state.buffers.push_back(buffer);
-    return buffer;
-  }();
-  return *holder;
+    if (buffer->size.load(std::memory_order_acquire) != 0) {
+      buffer->exited = true;
+      return;
+    }
+    std::erase(state.buffers, buffer);
+  }
+};
+
+LocalSlot& Slot() {
+  thread_local LocalSlot slot;
+  return slot;
+}
+
+ThreadBuffer& LocalBuffer() {
+  LocalSlot& slot = Slot();
+  if (!slot.buffer) {
+    TimelineState& state = State();
+    std::lock_guard<std::mutex> lock(state.mutex);
+    slot.buffer = std::make_shared<ThreadBuffer>(state.next_tid++,
+                                                 state.events_per_thread);
+    // Unpublished until the push_back below, so no name lock needed.
+    slot.buffer->name = std::move(slot.name);
+    state.buffers.push_back(slot.buffer);
+  }
+  return *slot.buffer;
 }
 
 int64_t ToEpochNs(Clock::time_point tp) {
@@ -104,10 +146,7 @@ void Timeline::Enable(TimelineOptions options) {
   {
     std::lock_guard<std::mutex> lock(state.mutex);
     state.events_per_thread = options.events_per_thread;
-    for (auto& buffer : state.buffers) {
-      buffer->size.store(0, std::memory_order_release);
-      buffer->dropped.store(0, std::memory_order_relaxed);
-    }
+    state.ResetBuffersLocked();
   }
   state.epoch_ns.store(SteadyNowNs(), std::memory_order_relaxed);
   enabled_.store(true, std::memory_order_release);
@@ -118,10 +157,7 @@ void Timeline::Disable() { enabled_.store(false, std::memory_order_release); }
 void Timeline::Clear() {
   TimelineState& state = State();
   std::lock_guard<std::mutex> lock(state.mutex);
-  for (auto& buffer : state.buffers) {
-    buffer->size.store(0, std::memory_order_release);
-    buffer->dropped.store(0, std::memory_order_relaxed);
-  }
+  state.ResetBuffersLocked();
 }
 
 int64_t Timeline::NowNs() {
@@ -185,9 +221,13 @@ void Timeline::RecordCounter(const char* name, double value) {
 }
 
 void Timeline::SetCurrentThreadName(const std::string& name) {
-  ThreadBuffer& buffer = LocalBuffer();
-  std::lock_guard<std::mutex> lock(buffer.name_mutex);
-  buffer.name = name;
+  LocalSlot& slot = Slot();
+  if (!slot.buffer) {
+    slot.name = name;  // carried into the buffer at the first event
+    return;
+  }
+  std::lock_guard<std::mutex> lock(slot.buffer->name_mutex);
+  slot.buffer->name = name;
 }
 
 std::vector<TimelineEventView> Timeline::Snapshot() {
@@ -214,6 +254,12 @@ std::vector<TimelineEventView> Timeline::Snapshot() {
     }
   }
   return out;
+}
+
+size_t Timeline::RegisteredBuffers() {
+  TimelineState& state = State();
+  std::lock_guard<std::mutex> lock(state.mutex);
+  return state.buffers.size();
 }
 
 uint64_t Timeline::RecordedEvents() {

@@ -65,7 +65,8 @@ struct TimelineEvent {
 /// One event joined with its recording thread, as returned by
 /// Snapshot().
 struct TimelineEventView {
-  /// Dense per-process thread ordinal (assigned at first record).
+  /// Per-process thread ordinal, unique for the process's lifetime
+  /// (assigned at the thread's first recorded event).
   int tid = 0;
   /// Thread name if SetCurrentThreadName ran on that thread.
   std::string thread_name;
@@ -86,13 +87,14 @@ class Timeline {
   }
 
   /// Starts recording: resets the epoch to "now", clears every
-  /// existing thread buffer, and applies `options` to buffers created
-  /// from here on (existing buffers keep their capacity).
+  /// existing thread buffer (dropping those of exited threads), and
+  /// applies `options` to buffers created from here on (existing
+  /// buffers keep their capacity).
   static void Enable(TimelineOptions options = {});
   /// Stops recording. Buffers are retained for Snapshot/Write.
   static void Disable();
-  /// Drops all recorded events and drop counters (buffers stay
-  /// registered for their threads).
+  /// Drops all recorded events and drop counters. Buffers of live
+  /// threads stay registered; those of exited threads are released.
   static void Clear();
 
   /// Nanoseconds since the epoch (0 when never enabled).
@@ -116,8 +118,16 @@ class Timeline {
   static void RecordCounter(const char* name, double value);
 
   /// Names the calling thread's track in the exported trace (e.g.
-  /// "pool-worker-2"). Safe to call when disabled.
+  /// "pool-worker-2"). Safe to call when disabled: it only stores the
+  /// name. A thread's ring is allocated and registered at its first
+  /// recorded event, and a thread that exits having recorded nothing
+  /// leaves no trace in the registry.
   static void SetCurrentThreadName(const std::string& name);
+
+  /// Thread buffers currently registered: one per live thread that
+  /// has recorded an event, plus those of exited threads still holding
+  /// events for export.
+  static size_t RegisteredBuffers();
 
   /// Point-in-time copy of every thread's recorded prefix, ordered by
   /// (tid, record order). Callable while recording continues.

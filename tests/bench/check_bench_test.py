@@ -418,6 +418,44 @@ class CheckBenchTest(unittest.TestCase):
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
         self.assertIn("OK: 0 regression(s)", result.stdout)
 
+    def seed_serve(self, payload):
+        self.write(self.base_dir, "BENCH_serve.json", SERVE)
+        self.write(self.cur_dir, "BENCH_serve.json", payload)
+
+    def test_steady_state_pre_fix_shape_fails(self):
+        # The acceptance-criteria case: the pre-fix 8000-request shape,
+        # where the last 400 requests' p50 was ~6x the first 400's, must
+        # fail even though the run's overall p50 is within budget of
+        # the baseline.
+        grown = dict(SERVE, requests=8000, p50_first_ms=0.69,
+                     p50_last_ms=4.1)
+        self.seed_serve(grown)
+        result = self.run_checker("BENCH_serve.json")
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("p50_last_ms/p50_first_ms", result.stdout)
+        self.assertIn("FAIL", result.stdout)
+
+    def test_steady_state_flat_run_passes(self):
+        flat = dict(SERVE, requests=8000, p50_first_ms=2.0,
+                    p50_last_ms=2.4)  # exactly at the 1.2 budget
+        self.seed_serve(flat)
+        result = self.run_checker("BENCH_serve.json")
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        self.assertIn("steady state", result.stdout)
+        # Fields absent from the baseline are reported, not gated.
+        self.assertIn("NEW  BENCH_serve.json: p50_last_ms", result.stdout)
+
+    def test_steady_state_just_over_budget_fails(self):
+        self.seed_serve(dict(SERVE, p50_first_ms=2.0, p50_last_ms=2.5))
+        result = self.run_checker("BENCH_serve.json")
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+
+    def test_steady_state_skips_artifacts_without_the_split(self):
+        self.seed_serve(SERVE)
+        result = self.run_checker("BENCH_serve.json")
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        self.assertNotIn("steady state", result.stdout)
+
     def test_explicit_name_list_restricts_comparison(self):
         self.seed_all()
         slower = json.loads(json.dumps(SERVE))

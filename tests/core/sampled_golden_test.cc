@@ -149,7 +149,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SampledCase{"sampled_scores", {6, 4}, true},
                       SampledCase{"sampled_l3_scores", {6, 4, 3}, true},
                       SampledCase{"sampled_l3_uniform_scores", {6, 4, 3},
-                                  false}));
+                                  false}),
+    [](const ::testing::TestParamInfo<SampledCase>& info) {
+      return std::string(info.param.fixture);
+    });
 
 }  // namespace
 }  // namespace gem::core

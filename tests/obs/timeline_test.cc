@@ -191,6 +191,64 @@ TEST(TimelineTest, FullRingDropsNewEventsAndCountsThem) {
   }
 }
 
+TEST(TimelineTest, UntracedPoolsRegisterNoBuffers) {
+  ASSERT_FALSE(Timeline::IsEnabled());
+  const size_t baseline = Timeline::RegisteredBuffers();
+  // Naming a thread with the timeline off stores the name only: no
+  // ring is allocated or registered while the thread lives.
+  {
+    std::promise<void> named;
+    std::promise<void> release;
+    std::thread idle([&] {
+      Timeline::SetCurrentThreadName("timeline_test.idle");
+      named.set_value();
+      release.get_future().wait();
+    });
+    named.get_future().wait();
+    EXPECT_EQ(Timeline::RegisteredBuffers(), baseline);
+    release.set_value();
+    idle.join();
+  }
+  // Every worker names itself at start; with the timeline off that
+  // must leave no registry entry behind.
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    ThreadPool pool(3);
+    std::atomic<int> ran{0};
+    pool.ParallelFor(6, [&](int, long, long) { ran.fetch_add(1); });
+    pool.Shutdown();
+    EXPECT_GT(ran.load(), 0);
+  }
+  EXPECT_EQ(Timeline::RegisteredBuffers(), baseline);
+
+  // A traced pool still names its tracks. Exited threads' buffers stay
+  // exportable until the next Clear drops them.
+  size_t with_main = 0;
+  {
+    ScopedTimeline timeline;
+    Timeline::RecordInstant("timeline_test.main");
+    with_main = Timeline::RegisteredBuffers();
+    {
+      ThreadPool pool(2);
+      pool.Submit([] { GEM_TRACE_SPAN("timeline_test.worker"); });
+      pool.Shutdown();
+    }
+    const std::string json = ChromeTraceJson(Timeline::Snapshot());
+    EXPECT_NE(json.find("pool-worker-"), std::string::npos);
+    const size_t before_recorders = Timeline::RegisteredBuffers();
+    std::vector<std::thread> recorders;
+    for (int i = 0; i < 3; ++i) {
+      recorders.emplace_back(
+          [] { Timeline::RecordInstant("timeline_test.recorder"); });
+    }
+    for (std::thread& recorder : recorders) recorder.join();
+    EXPECT_EQ(Timeline::RegisteredBuffers(), before_recorders + 3);
+    EXPECT_EQ(
+        EventsNamed(Timeline::Snapshot(), "timeline_test.recorder").size(),
+        3u);
+  }
+  EXPECT_EQ(Timeline::RegisteredBuffers(), with_main);
+}
+
 TEST(TimelineTest, QueueWaitUnderEngineBackpressure) {
   ScopedTimeline timeline;
   Timeline::SetCurrentThreadName("main");

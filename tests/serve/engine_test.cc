@@ -154,44 +154,57 @@ TEST_F(ServeTest, ConcurrentFencesWithRacingUpdatesAndReload) {
   }
 
   Engine engine(&registry, EngineOptions{/*num_threads=*/4});
+  std::atomic<int> issued{0};
   std::atomic<int> ok_count{0};
   std::atomic<int> reloaded_generation_seen{0};
+  std::atomic<bool> reloaded{false};
   std::vector<std::thread> clients;
   clients.reserve(kFences);
   for (int f = 0; f < kFences; ++f) {
     clients.emplace_back([&, f] {
       const std::string fence_id = "home_" + std::to_string(f);
-      for (const rf::ScanRecord& record : dataset_->test) {
-        ServeRequest request;
-        request.fence_id = fence_id;
-        request.record = record;
-        ServeResponse response = engine.InferBlocking(request);
-        while (response.status.code() == StatusCode::kUnavailable) {
-          std::this_thread::yield();
-          response = engine.InferBlocking(request);
-        }
-        ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-        ok_count.fetch_add(1);
-        if (response.fence_generation > 1) {
-          reloaded_generation_seen.fetch_add(1);
+      // Stream passes over the test records until the reload has
+      // landed, then one more full pass: the reload always happens
+      // mid-traffic and later home_0 requests always follow it,
+      // however fast a pass is.
+      bool last_pass = false;
+      while (!last_pass) {
+        last_pass = reloaded.load();
+        for (const rf::ScanRecord& record : dataset_->test) {
+          ServeRequest request;
+          request.fence_id = fence_id;
+          request.record = record;
+          issued.fetch_add(1);
+          ServeResponse response = engine.InferBlocking(request);
+          while (response.status.code() == StatusCode::kUnavailable) {
+            std::this_thread::yield();
+            response = engine.InferBlocking(request);
+          }
+          ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+          ok_count.fetch_add(1);
+          if (response.fence_generation > 1) {
+            reloaded_generation_seen.fetch_add(1);
+          }
         }
       }
     });
   }
 
   // Live reload fence 0 while the clients are hammering it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  while (ok_count.load() < kFences) std::this_thread::yield();
   const auto generation =
       registry.InstallFromSnapshot("home_0", *snapshot_path_);
+  reloaded.store(true);
   ASSERT_TRUE(generation.ok());
   EXPECT_EQ(generation.value(), 2u);
 
   for (std::thread& client : clients) client.join();
   engine.Shutdown();
-  EXPECT_EQ(ok_count.load(),
+  EXPECT_EQ(ok_count.load(), issued.load());
+  EXPECT_GE(ok_count.load(),
             kFences * static_cast<int>(dataset_->test.size()));
-  // The reload lands early in the stream, so later home_0 requests must
-  // observe generation 2.
+  // The last home_0 pass starts after the reload, so it must observe
+  // generation 2.
   EXPECT_GT(reloaded_generation_seen.load(), 0);
 }
 
