@@ -20,7 +20,7 @@
 #include "rf/dataset.h"
 #include "serve/engine.h"
 #include "serve/fence_registry.h"
-#include "serve/snapshot.h"
+#include "store/snapshot_v2.h"
 
 using namespace gem;  // NOLINT(build/namespaces) example binary
 
@@ -54,7 +54,7 @@ int main() {
     }
     const std::string path =
         "home_" + std::to_string(user) + ".gem";
-    const Status saved = serve::SaveSnapshot(path, gem);
+    const Status saved = store::SaveSnapshotV2(path, gem);
     if (!saved.ok()) {
       std::fprintf(stderr, "snapshot %s failed: %s\n", path.c_str(),
                    saved.ToString().c_str());

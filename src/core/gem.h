@@ -124,17 +124,6 @@ class Gem : public GeofencingSystem {
   InferenceResult Detect(const math::Vec& embedding) const;
   StatusOr<bool> Update(const math::Vec& embedding);
 
-  /// Deprecated: old spelling of Observe(record); gone next release.
-  StatusOr<math::Vec> EmbedRecord(const rf::ScanRecord& record) {
-    return Observe(record);
-  }
-  /// Deprecated: old spelling of ObserveBatch(records); gone next
-  /// release.
-  std::vector<StatusOr<math::Vec>> EmbedBatch(
-      const std::vector<rf::ScanRecord>& records) {
-    return ObserveBatch(records);
-  }
-
   /// Folds the owned overlay (accumulated by the legacy spellings)
   /// into a standalone Gem. Snapshot writers call this so a saved
   /// model captures online updates made through the legacy API.
@@ -148,7 +137,7 @@ class Gem : public GeofencingSystem {
   const GemOverlay& overlay() const { return overlay_; }
   bool trained() const { return trained_; }
 
-  /// Snapshot support (serve/snapshot.cc): reassembles a trained Gem
+  /// Snapshot support (store/snapshot_v2.cc): reassembles a trained Gem
   /// from restored components. The embedder must already be fitted and
   /// the detector already carry its persisted state; the config must
   /// validate. kInvalidArgument / kFailedPrecondition otherwise.

@@ -55,7 +55,7 @@ class HistogramModel {
   /// when it first absorbs a sample.
   void Materialize();
 
-  /// Snapshot support (serve/snapshot.cc): the full mutable state, so a
+  /// Snapshot support (store/snapshot_v2.cc): the full mutable state, so a
   /// fitted model round-trips bit-identically through the wire format.
   struct PersistedState {
     int bins = 0;
@@ -201,7 +201,7 @@ class EnhancedHbosDetector : public HbosDetector {
     return enhanced_options_;
   }
 
-  /// Snapshot support (serve/snapshot.cc): everything Fit() derived,
+  /// Snapshot support (store/snapshot_v2.cc): everything Fit() derived,
   /// so a fitted detector round-trips without refitting.
   struct PersistedState {
     HistogramModel::PersistedState model;

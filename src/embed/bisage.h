@@ -17,6 +17,10 @@
 #include "math/optimizer.h"
 #include "math/rng.h"
 
+namespace gem::math {
+class FlatTape;
+}  // namespace gem::math
+
 namespace gem::embed {
 
 /// Hyperparameters of BiSAGE (Section IV-B). Defaults follow the
@@ -71,12 +75,6 @@ struct BiSageConfig {
   /// deterministic for a fixed num_threads, and near-linearly faster
   /// with threads. Runtime knob only, not persisted.
   bool deterministic = false;
-  /// Test-only escape hatch: route the training forward/backward
-  /// through the allocation-heavy math::Tape instead of the arena
-  /// math::FlatTape. Both engines are bit-identical by contract; the
-  /// pipeline differential suite flips this to prove it on real
-  /// training runs. Not persisted.
-  bool use_legacy_tape = false;
 
   /// kInvalidArgument describing the first offending field, Ok
   /// otherwise. Checked by BiSage at construction (softly: Train()
@@ -238,7 +236,7 @@ class BiSage {
   /// across epochs and batches.
   ThreadPool& thread_pool() const;
 
-  /// Snapshot support (serve/snapshot.cc): everything Train() learned
+  /// Snapshot support (store/snapshot_v2.cc): everything Train() learned
   /// plus the lazily-grown node tables and their init stream, so a
   /// restored model embeds future nodes bit-identically to the
   /// original process. Optimizer moments are NOT persisted: a
@@ -289,19 +287,16 @@ class BiSage {
 
   /// Builds the (h^k, l^k) computation for `node` on the tape,
   /// memoized per (node, layer) within the current gradient shard.
-  /// Templated over the tape engine (math::Tape / math::FlatTape): one
-  /// body guarantees both engines see the same op sequence and RNG
-  /// draw order, which is what makes them bit-identical end to end.
-  template <typename TapeT>
-  NodeVars BuildNodeVars(TapeT& tape, const graph::BipartiteGraph& graph,
+  NodeVars BuildNodeVars(math::FlatTape& tape,
+                         const graph::BipartiteGraph& graph,
                          graph::NodeId node, int layer, math::Rng& rng,
                          std::unordered_map<long, NodeVars>& memo) const;
 
   /// Adds the Equation (8) loss terms of pairs[begin, end) to the tape
   /// (positives plus num_negatives sampled negatives per pair), sharing
   /// `memo` across the range. Accumulates the loss value and term count.
-  template <typename TapeT>
-  void AccumulateShardLoss(TapeT& tape, const graph::BipartiteGraph& graph,
+  void AccumulateShardLoss(math::FlatTape& tape,
+                           const graph::BipartiteGraph& graph,
                            const std::vector<TrainPair>& pairs, size_t begin,
                            size_t end, math::Rng& rng,
                            std::unordered_map<long, NodeVars>& memo,
@@ -420,7 +415,7 @@ class BiSageEmbedder : public RecordEmbedder {
     return train_nodes_;
   }
 
-  /// Snapshot support (serve/snapshot.cc): swaps in a persisted graph,
+  /// Snapshot support (store/snapshot_v2.cc): swaps in a persisted graph,
   /// training-node list, and trained model state.
   Status RestoreFitted(graph::BipartiteGraph graph,
                        std::vector<graph::NodeId> train_nodes,

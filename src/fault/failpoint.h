@@ -9,7 +9,7 @@
 
 /// gem::fault — deterministic failpoint injection.
 ///
-/// A failpoint is a named hook (`GEM_FAILPOINT("serve.snapshot.read")`)
+/// A failpoint is a named hook (`GEM_FAILPOINT("store.mmap.open")`)
 /// compiled into a fallible code path. In a normal build the macros
 /// expand to nothing — release binaries carry no failpoint branches.
 /// When the tree is configured with -DGEM_ENABLE_FAILPOINTS=ON (the CI
@@ -22,7 +22,7 @@
 /// on a deterministic, seeded schedule.
 ///
 /// Point naming scheme: `<layer>.<component>.<operation>`, e.g.
-/// `serve.snapshot.read`, `serve.engine.admit`, `base.thread_pool.task`,
+/// `store.mmap.open`, `serve.engine.admit`, `base.thread_pool.task`,
 /// `rf.record_io.row` (see DESIGN.md §9 for the full inventory).
 ///
 /// Policy grammar (Configure):
@@ -41,7 +41,7 @@
 /// `prob=P@SEED` flips a deterministic seeded coin per hit, so a chaos
 /// schedule replays bit-identically for a fixed seed. Examples:
 ///
-///   serve.snapshot.read=once/unavailable
+///   store.mmap.open=once/unavailable
 ///   serve.engine.process=prob=0.05@42/unavailable/delay=2
 ///   base.thread_pool.task=every=100/delay=5/ok
 

@@ -94,7 +94,7 @@ class BipartiteGraph {
     return mac_index_;
   }
 
-  /// Rebuilds a graph from persisted structure (serve/snapshot.cc).
+  /// Rebuilds a graph from persisted structure (store/snapshot_v2.cc).
   /// `types` and `adjacency` are per-node and must be consistent with
   /// the (mac string, node id) list; weight sums and samplers are
   /// rederived. Returns InvalidArgument on any inconsistency.

@@ -55,9 +55,8 @@ struct ServeResponse {
   /// kOk with `result` filled, kNotFound (fence neither loaded nor in
   /// the attached store), kDeadlineExceeded (deadline passed before
   /// the model ran), kUnavailable (shut down while queued, or a
-  /// transient store cold-load failure), kDataLoss (corrupt snapshot
-  /// behind a store-resolved fence), or kFailedPrecondition (the fence
-  /// belongs to another shard of a partitioned fleet).
+  /// transient store cold-load failure), or kDataLoss (corrupt
+  /// snapshot behind a store-resolved fence).
   Status status;
   core::InferenceResult result;
   /// Registry generation of the model that served the request (0 when

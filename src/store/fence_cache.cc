@@ -1,19 +1,13 @@
 #include "store/fence_cache.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/snapshot_sections.h"
-#include "store/format.h"
 #include "store/meminfo.h"
-#include "store/snapshot_v2.h"
 
 namespace gem::store {
 namespace {
@@ -46,15 +40,6 @@ struct CacheMetrics {
   }
 };
 
-/// Snapshot file size — the resident-bytes accounting unit. For a
-/// mapped model this is mapping EXTENT (virtual), not private memory;
-/// the private_dirty gauge carries the pressure signal.
-uint64_t FileSizeOrZero(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size)
-                                        : 0;
-}
-
 /// Best-effort refresh of the process-wide Private_Dirty gauge. Cold
 /// paths only — it costs a /proc read.
 void RefreshPrivateDirtyGauge() {
@@ -64,54 +49,18 @@ void RefreshPrivateDirtyGauge() {
   }
 }
 
-/// A cold-loaded model plus (for mapped loads) the mapping that keeps
-/// its borrowed views alive.
-struct LoadedModel {
-  core::Gem gem;
-  std::shared_ptr<void> backing;  // null for copy loads
-};
-
-/// One cold load: v2 files go through MappedModel when mapped serving
-/// is on (zero-copy), everything else through the copy loader.
-StatusOr<LoadedModel> LoadForServing(const std::string& path,
-                                     const FenceCacheOptions& options) {
-  if (options.mapped_load) {
-    StatusOr<uint32_t> version = PeekSnapshotVersion(path);
-    if (version.ok() && *version == kSnapshotFormatVersionV2) {
-      StatusOr<MappedModel> mapped = MappedModel::Open(path, options.mapped);
-      if (!mapped.ok()) return mapped.status();
-      std::shared_ptr<MmapFile> backing = mapped->backing();
-      return LoadedModel{std::move(*mapped).TakeGem(), std::move(backing)};
-    }
-    // v1 files (and unreadable headers) fall through to the copy
-    // loader, which owns the established error text for both.
-  }
-  StatusOr<core::Gem> gem = LoadSnapshotAuto(path);
-  if (!gem.ok()) return gem.status();
-  return LoadedModel{std::move(gem).value(), nullptr};
-}
-
-/// LoadForServing under the v1 retry contract (same transient codes
-/// and metrics as LoadSnapshotAutoWithRetry).
-StatusOr<LoadedModel> LoadForServingWithRetry(
-    const std::string& path, const FenceCacheOptions& options) {
-  static obs::Counter& retries =
-      obs::MetricsRegistry::Get().GetCounter("gem_store_load_retries_total");
-  std::chrono::duration<double, std::milli> backoff =
-      options.retry.initial_backoff;
-  for (int attempt = 1;; ++attempt) {
-    StatusOr<LoadedModel> loaded = LoadForServing(path, options);
-    if (loaded.ok() ||
-        !serve::internal::IsTransientLoadError(loaded.code()) ||
-        attempt >= options.retry.max_attempts) {
-      return loaded;
-    }
-    retries.Increment();
-    if (backoff.count() > 0) {
-      std::this_thread::sleep_for(backoff);
-    }
-    backoff *= options.retry.backoff_multiplier;
-  }
+/// Wraps a cold-loaded model as generation `generation` of
+/// `fence_id`. The Fence keeps the mapping as its backing, so the
+/// model's borrowed views stay valid for as long as anyone pins it.
+std::shared_ptr<serve::Fence> MakeFence(const std::string& fence_id,
+                                        uint64_t generation,
+                                        MappedModel model,
+                                        const core::OverlayLimits& limits) {
+  std::shared_ptr<MmapFile> backing = model.backing();
+  auto fence = std::make_shared<serve::Fence>(
+      fence_id, generation, std::move(model).TakeGem(), std::move(backing));
+  fence->overlay.limits = limits;
+  return fence;
 }
 
 /// Compacts `fence`'s overlay into its base and atomically rewrites
@@ -261,7 +210,7 @@ StatusOr<std::shared_ptr<serve::Fence>> FenceCache::Acquire(
       // serving thread still holds it; the fence mutex supplies the
       // ordering against the last holder's writes.
       bool compaction_due = false;
-      if (options_.flush_on_evict && entry.fence.use_count() == 1) {
+      if (entry.fence.use_count() == 1) {
         std::lock_guard fence_lock(entry.fence->mutex);
         compaction_due = entry.fence->overlay.compaction_due();
       }
@@ -293,17 +242,20 @@ StatusOr<std::shared_ptr<serve::Fence>> FenceCache::Acquire(
     const uint64_t epoch = entry.epoch;
     lock.unlock();
 
-    StatusOr<LoadedModel> loaded = [&]() -> StatusOr<LoadedModel> {
+    StatusOr<MappedModel> loaded = Status::Unavailable("not loaded");
+    {
       GEM_TRACE_SPAN("store.cold_load");
       const auto start = std::chrono::steady_clock::now();
-      StatusOr<LoadedModel> result = LoadForServingWithRetry(path, options_);
+      const Status status = RetryTransientLoad(options_.retry, [&] {
+        loaded = MappedModel::Open(path, options_.mapped);
+        return loaded.status();
+      });
+      if (!status.ok()) loaded = status;
       metrics.cold_load_seconds.Observe(
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
               .count());
-      return result;
-    }();
-    const uint64_t bytes = loaded.ok() ? FileSizeOrZero(path) : 0;
+    }
 
     lock.lock();
     auto jt = entries_.find(fence_id);
@@ -327,17 +279,14 @@ StatusOr<std::shared_ptr<serve::Fence>> FenceCache::Acquire(
       // serving the freshest completed load instead of livelocking.
       if (attempt < 2) continue;
       loaded_entry.next_generation = generation + 1;
-      auto fence = std::make_shared<serve::Fence>(
-          fence_id, generation, std::move(loaded->gem),
-          std::move(loaded->backing));
-      fence->overlay.limits = options_.overlay_limits;
-      return fence;
+      return MakeFence(fence_id, generation, std::move(loaded).value(),
+                       options_.overlay_limits);
     }
     loaded_entry.next_generation = generation + 1;
-    auto fence = std::make_shared<serve::Fence>(fence_id, generation,
-                                                std::move(loaded->gem),
-                                                std::move(loaded->backing));
-    fence->overlay.limits = options_.overlay_limits;
+    const uint64_t bytes = loaded->file_bytes();
+    std::shared_ptr<serve::Fence> fence =
+        MakeFence(fence_id, generation, std::move(loaded).value(),
+                  options_.overlay_limits);
     loaded_entry.fence = fence;
     lru_.push_front(fence_id);
     loaded_entry.lru = lru_.begin();
@@ -368,7 +317,7 @@ std::shared_ptr<serve::Fence> FenceCache::DropResidentLocked(Entry* entry) {
 
 void FenceCache::MaybeFlushDroppedLocked(const std::string& path,
                                          std::shared_ptr<serve::Fence> fence) {
-  if (!options_.flush_on_evict || !fence) return;
+  if (!fence) return;
   // Only the LAST reference flushes: with pinned holders still serving
   // (and mutating the overlay), a flush here would capture a torn
   // point-in-time and silently drop their later updates. Their

@@ -14,8 +14,8 @@
 #include "base/statusor.h"
 #include "core/overlay.h"
 #include "serve/fence.h"
-#include "serve/snapshot.h"
 #include "store/mapped_model.h"
+#include "store/snapshot_v2.h"
 
 namespace gem::store {
 
@@ -24,26 +24,16 @@ struct FenceCacheOptions {
   /// unbounded (1M fences on one box is the design point); residency
   /// is what this caps.
   size_t capacity = 64;
-  /// Cold-load retry policy (v1 semantics: only transient codes retry).
-  serve::RetryOptions retry;
-  /// Serve v2 snapshots zero-copy: the cold load maps the file
-  /// read-only and the Fence's base Gem borrows its bulk tensors from
-  /// the mapping (store::MappedModel); eviction is then an munmap and
-  /// generations of the same file share clean pages. v1 snapshots
-  /// always copy-load regardless.
-  bool mapped_load = true;
-  /// Passed through to MappedModel::Open when mapped_load is on.
+  /// Cold-load retry policy (only transient codes retry; see
+  /// RetryTransientLoad).
+  RetryOptions retry;
+  /// Passed through to MappedModel::Open on every cold load.
   MappedModelOptions mapped;
   /// Installed on every loaded fence's overlay: when the overlay
   /// outgrows these limits the cache compacts it back into the
   /// snapshot on the next unpinned Acquire. Zero limits = compact only
   /// on evict/deregister/teardown.
   core::OverlayLimits overlay_limits;
-  /// Fold a non-empty overlay back into its snapshot file (compaction
-  /// + atomic v2 rewrite) when the cache drops its last reference on
-  /// evict, deregister, or teardown. Off = online updates die with the
-  /// residency, as they did before overlays existed.
-  bool flush_on_evict = true;
 
   /// kInvalidArgument unless capacity >= 1 and the nested option
   /// structs (retry, mapped, overlay_limits) validate.
@@ -54,7 +44,7 @@ struct FenceCacheOptions {
 ///
 /// The registry of fence id -> snapshot path is cheap and unbounded;
 /// models are materialized only on Acquire (cold load: mmap + in-place
-/// validation via LoadSnapshotAuto) and evicted least-recently-used
+/// validation via MappedModel::Open) and evicted least-recently-used
 /// once more than `capacity` are resident. The moving parts:
 ///
 ///  - **Pinning.** Acquire returns a shared_ptr<serve::Fence>; an
@@ -71,15 +61,15 @@ struct FenceCacheOptions {
 ///    discarded and re-run — an Acquire never returns a model older
 ///    than the last Invalidate it observed.
 ///
-///  - **Mapped serving.** With options.mapped_load, a v2 snapshot is
-///    served straight over its read-only mapping (store::MappedModel):
-///    cold load does no bulk memcpys, eviction is an munmap, and the
-///    resident set's clean pages are shared + kernel-reclaimable. The
-///    resident_bytes gauge therefore reports mapping EXTENT; the real
-///    pressure signal is gem_store_private_dirty_bytes (process-wide
-///    Private_Dirty via /proc/self/smaps_rollup, refreshed on flush
-///    paths only — the /proc walk is too slow for the per-load fast
-///    path), which stays near-flat as mapped fences stack up.
+///  - **Mapped serving.** Every snapshot is served straight over its
+///    read-only mapping (store::MappedModel): cold load does no bulk
+///    memcpys, eviction is an munmap, and the resident set's clean
+///    pages are shared + kernel-reclaimable. The resident_bytes gauge
+///    therefore reports mapping EXTENT; the real pressure signal is
+///    gem_store_private_dirty_bytes (process-wide Private_Dirty via
+///    /proc/self/smaps_rollup, refreshed on flush paths only — the
+///    /proc walk is too slow for the per-load fast path), which stays
+///    near-flat as mapped fences stack up.
 ///  - **Overlay flush.** Online updates land in each Fence's overlay,
 ///    not its base. When the cache drops its last reference (evict,
 ///    deregister, teardown) — or an overlay outgrows
@@ -172,9 +162,9 @@ class FenceCache {
   /// and returns the dropped reference so the caller can decide
   /// whether to flush its overlay. Caller holds mutex_.
   std::shared_ptr<serve::Fence> DropResidentLocked(Entry* entry);
-  /// Compacts + saves `fence`'s overlay to `path` when flushing is
-  /// enabled, the overlay is non-empty, and `fence` is the sole
-  /// remaining reference (nobody pinned). Caller holds mutex_.
+  /// Compacts + saves `fence`'s overlay to `path` when the overlay is
+  /// non-empty and `fence` is the sole remaining reference (nobody
+  /// pinned). Caller holds mutex_.
   void MaybeFlushDroppedLocked(const std::string& path,
                                std::shared_ptr<serve::Fence> fence);
   /// Evicts LRU entries until at most `capacity` are resident. Caller

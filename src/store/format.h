@@ -11,14 +11,11 @@
 
 namespace gem::store {
 
-/// Snapshot wire format v2: the mmap-friendly layout (DESIGN.md §12).
+/// Snapshot wire format v2, the only format this binary reads or
+/// writes (DESIGN.md §7). The file is laid out for residency
+/// management:
 ///
-/// The v1 format (serve/snapshot.{h,cc}) streams tag/size/payload/CRC
-/// frames, so loading is a sequential parse of every element. v2 keeps
-/// the magic and the versioning rules but reshapes the file for
-/// residency management:
-///
-///   [ 0,  8)  magic "GEMSNAP\0"            (same as v1)
+///   [ 0,  8)  magic "GEMSNAP\0"
 ///   [ 8, 12)  u32 version = 2
 ///   [12, 16)  u32 section_count
 ///   [16, 24)  u64 file_size                (truncation check)
@@ -39,19 +36,21 @@ namespace gem::store {
 /// samples) lives in raw little-endian f64 sections whose blocks are
 /// 64-byte-aligned both in the file and relative to their section:
 /// mapped read-only, those bytes ARE the model's backing arrays —
-/// materialization is one aligned block copy per tensor (and a future
-/// view-based engine can skip even that), never a per-element parse.
-/// The small structure-heavy sections (config, graph) reuse the v1
-/// payload codecs byte for byte.
+/// materialization is one aligned block copy per tensor, or none for
+/// a view-backed store::MappedModel. The small structure-heavy
+/// sections (config, graph) use the store/wire.h primitives.
+///
+/// Version 1 (a stream of tag/size/payload/CRC frames behind the same
+/// magic) is no longer readable: every reader rejects it with
+/// kInvalidArgument.
 
 inline constexpr uint32_t kSnapshotFormatVersionV2 = 2;
 inline constexpr uint64_t kSectionAlignment = 64;
 inline constexpr uint64_t kHeaderSize = 64;
 inline constexpr uint64_t kTableEntrySize = 32;
 
-/// v2 section tags. 1 and 2 are shared with v1 (same payload bytes);
-/// 3 and 4 are the v1 bulk sections that v2 replaces with the
-/// meta/data split, so they never appear in a v2 file.
+/// v2 section tags. 3 and 4 were v1's bulk sections and never appear
+/// in a v2 file.
 enum SectionTagV2 : uint32_t {
   kConfigTag = 1,
   kGraphTag = 2,
@@ -70,10 +69,11 @@ struct SectionEntry {
 };
 
 /// Parsed + validated v2 header and table over a mapped byte span.
-/// Validation covers: magic, version (==2), header CRC, table CRC,
-/// file_size == span size, section_count sanity, per-section 64-byte
-/// alignment, monotonic non-overlapping extents inside the file, and
-/// (unless skip_payload_crc) every section's payload CRC. Any
+/// Validation covers: magic, version (==2; anything else is
+/// kInvalidArgument), header CRC, table CRC, file_size == span size,
+/// section_count sanity, per-section 64-byte alignment, monotonic
+/// non-overlapping extents inside the file, and (unless
+/// skip_payload_crc) every section's payload CRC. Any
 /// violation is a clean kDataLoss / kInvalidArgument, never UB — the
 /// corruption sweeps flip every header byte and stride the payloads.
 StatusOr<std::vector<SectionEntry>> ParseV2(std::string_view bytes,
@@ -92,10 +92,6 @@ constexpr uint64_t AlignUp(uint64_t n) {
 
 // --- Inspection (gem_cli snapshot inspect) ---------------------------
 
-/// Reads the snapshot version field of `path` (1 or 2; any value the
-/// file claims). kDataLoss when the file is not a GEM snapshot.
-StatusOr<uint32_t> PeekSnapshotVersion(const std::string& path);
-
 struct SectionInfo {
   uint32_t tag = 0;
   std::string name;     // "config", "graph", "embedder.data", ...
@@ -103,7 +99,7 @@ struct SectionInfo {
   uint64_t length = 0;  // payload bytes
   uint32_t stored_crc = 0;
   bool crc_ok = false;
-  bool aligned = false;  // offset % 64 == 0 (always false-irrelevant in v1)
+  bool aligned = false;  // offset % 64 == 0
 };
 
 struct SnapshotInfo {
@@ -114,16 +110,17 @@ struct SnapshotInfo {
   std::vector<SectionInfo> sections;  // sections recovered before error
 };
 
-/// Structural dump of a v1 or v2 snapshot: header fields, section
-/// table, sizes, and per-section CRC status. Deliberately tolerant —
-/// a corrupt section is REPORTED (crc_ok = false) rather than aborting
-/// the walk, because this is the debugging aid you reach for exactly
-/// when a snapshot refuses to load. Only an unreadable or non-snapshot
-/// file returns an error Status.
+/// Structural dump of a snapshot: header fields, section table, sizes,
+/// and per-section CRC status. Deliberately tolerant — a corrupt
+/// section is REPORTED (crc_ok = false) rather than aborting the walk,
+/// because this is the debugging aid you reach for exactly when a
+/// snapshot refuses to load. Only an unreadable file, a non-snapshot
+/// file, or a version other than 2 (v1 included) returns an error
+/// Status.
 StatusOr<SnapshotInfo> InspectSnapshot(const std::string& path);
 
 /// Human-readable name for a section tag ("unknown(tag)" otherwise).
-std::string SectionTagName(uint32_t tag, uint32_t version);
+std::string SectionTagName(uint32_t tag);
 
 }  // namespace gem::store
 

@@ -4,7 +4,6 @@
 
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
-#include "store/format.h"
 #include "store/snapshot_v2.h"
 
 namespace gem::store {
@@ -22,15 +21,6 @@ StatusOr<MappedModel> MappedModel::Open(const std::string& path,
   Status status = options.Validate();
   if (!status.ok()) return status;
 
-  StatusOr<uint32_t> version = PeekSnapshotVersion(path);
-  if (!version.ok()) return version.status();
-  if (*version != kSnapshotFormatVersionV2) {
-    return Status::InvalidArgument(
-        path + ": snapshot format version " + std::to_string(*version) +
-        " cannot be mapped (only v2 has an in-place layout); migrate with "
-        "MigrateSnapshot");
-  }
-
   StatusOr<MmapFile> map = MmapFile::Open(path);
   if (!map.ok()) return map.status();
   if (options.max_file_bytes > 0 &&
@@ -40,8 +30,8 @@ StatusOr<MappedModel> MappedModel::Open(const std::string& path,
         " bytes exceeds MappedModelOptions.max_file_bytes (" +
         std::to_string(options.max_file_bytes) + ")");
   }
-  // Same injection point as the copy load, so the chaos sweeps cover
-  // both cold-load paths with one failpoint name.
+  // Same injection point as LoadSnapshotAuto, so the chaos sweeps
+  // cover both load paths with one failpoint name.
   GEM_FAILPOINT("store.snapshot.validate");
 
   if (options.advise_random && map->size() > 0) {

@@ -45,14 +45,11 @@ struct MappedModelOptions {
 /// mutating spellings route through the Gem's owned overlay, so a
 /// mapped Gem is safe under the whole serving API. Only Train() — a
 /// wholesale refit — replaces the borrowed state with owned storage.
-///
-/// v1 snapshots cannot be mapped (per-element wire format); Open
-/// returns kInvalidArgument for them — migrate with MigrateSnapshot.
 class MappedModel {
  public:
-  /// Maps `path` (which must be a v2 snapshot), validates it in place,
-  /// and builds the view-backed Gem. kNotFound for a missing file,
-  /// kDataLoss on corruption, kInvalidArgument for a v1 file or an
+  /// Maps the snapshot at `path`, validates it in place, and builds
+  /// the view-backed Gem. kNotFound for a missing file, kDataLoss on
+  /// corruption, kInvalidArgument for a v1 (or any non-v2) file or an
   /// over-budget file. Failpoints: `store.mmap.open`,
   /// `store.mmap.map`, `store.snapshot.validate`.
   static StatusOr<MappedModel> Open(const std::string& path,

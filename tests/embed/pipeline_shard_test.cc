@@ -1,9 +1,9 @@
 // Shard-level tests of the staged parallel-training pipeline
 // (DESIGN.md §8): deterministic mode must be bit-identical at every
 // thread count, default mode run-to-run deterministic at a fixed
-// count, both tape engines interchangeable, and shard-boundary edge
-// cases (shard count > record count, single-pair shards, short last
-// shards) must neither crash nor change the deterministic numerics.
+// count, and shard-boundary edge cases (shard count > record count,
+// single-pair shards, short last shards) must neither crash nor change
+// the deterministic numerics.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -102,25 +102,6 @@ TEST(PipelineShardTest, DefaultModeRunToRunDeterministic) {
     const auto first = TrainOnce(config, graph);
     const auto second = TrainOnce(config, graph);
     ExpectSameTrainedState(first, second);
-  }
-}
-
-// Both tape engines must be interchangeable bit for bit on real
-// training runs, in both modes and at several thread counts.
-TEST(PipelineShardTest, FlatTapeMatchesLegacyTapeBitwise) {
-  const auto data = MakeTwoClusters(10, 23);
-  const auto graph = BuildGraph(data.records);
-  for (const bool deterministic : {false, true}) {
-    for (const int threads : {1, 2, EnvThreads()}) {
-      BiSageConfig config = FastConfig();
-      config.deterministic = deterministic;
-      config.num_threads = threads;
-      config.use_legacy_tape = false;
-      const auto flat = TrainOnce(config, graph);
-      config.use_legacy_tape = true;
-      const auto legacy = TrainOnce(config, graph);
-      ExpectSameTrainedState(flat, legacy);
-    }
   }
 }
 

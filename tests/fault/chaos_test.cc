@@ -24,7 +24,7 @@
 #include "rf/dataset.h"
 #include "serve/engine.h"
 #include "serve/fence_registry.h"
-#include "serve/snapshot.h"
+#include "store/snapshot_v2.h"
 
 namespace gem::serve {
 namespace {
@@ -57,7 +57,7 @@ uint64_t ReloadFailures(const char* phase) {
 
 uint64_t SnapshotRetries() {
   return obs::MetricsRegistry::Get()
-      .GetCounter("gem_serve_snapshot_retries_total")
+      .GetCounter("gem_store_load_retries_total")
       .value();
 }
 
@@ -68,8 +68,8 @@ uint64_t DeadlineExceededCount() {
       .value();
 }
 
-RetryOptions FastRetry(int attempts) {
-  RetryOptions retry;
+store::RetryOptions FastRetry(int attempts) {
+  store::RetryOptions retry;
   retry.max_attempts = attempts;
   retry.initial_backoff = std::chrono::milliseconds(1);
   return retry;
@@ -85,7 +85,7 @@ class ChaosTest : public ::testing::Test {
     core::Gem gem(FastConfig());
     ASSERT_TRUE(gem.Train(dataset_->train).ok());
     snapshot_path_ = new std::string(TempPath("chaos_test_model.gem"));
-    ASSERT_TRUE(SaveSnapshot(*snapshot_path_, gem).ok());
+    ASSERT_TRUE(store::SaveSnapshotV2(*snapshot_path_, gem).ok());
   }
 
   static void TearDownTestSuite() {
@@ -99,7 +99,7 @@ class ChaosTest : public ::testing::Test {
   void TearDown() override { fault::Reset(); }
 
   static core::Gem LoadModel() {
-    auto gem = LoadSnapshot(*snapshot_path_);
+    auto gem = store::LoadSnapshotAuto(*snapshot_path_);
     EXPECT_TRUE(gem.ok()) << gem.status().ToString();
     return std::move(gem).value();
   }
@@ -190,7 +190,7 @@ TEST_F(ChaosTest, FailedReloadKeepsOldGenerationServing) {
   const uint64_t failures_before = ReloadFailures("reload");
   const uint64_t retries_before = SnapshotRetries();
   ASSERT_TRUE(
-      fault::Configure("serve.snapshot.read=always/unavailable").ok());
+      fault::Configure("store.mmap.map=always/unavailable").ok());
   const auto reload =
       registry.InstallFromSnapshot("home", *snapshot_path_, FastRetry(2));
   EXPECT_EQ(reload.code(), StatusCode::kUnavailable);
@@ -222,7 +222,7 @@ TEST_F(ChaosTest, InitialInstallFailureIsLabeledInitial) {
   FenceRegistry registry;
   const uint64_t failures_before = ReloadFailures("initial");
   ASSERT_TRUE(
-      fault::Configure("serve.snapshot.open=always/unavailable").ok());
+      fault::Configure("store.mmap.open=always/unavailable").ok());
   const auto install =
       registry.InstallFromSnapshot("fresh", *snapshot_path_, FastRetry(1));
   EXPECT_EQ(install.code(), StatusCode::kUnavailable);
@@ -244,30 +244,34 @@ TEST_F(ChaosTest, RegistryReloadInjectionDegradesGracefully) {
 
 TEST_F(ChaosTest, TransientSnapshotFailureRetriesToSuccess) {
   ASSERT_TRUE(
-      fault::Configure("serve.snapshot.read=once/unavailable").ok());
+      fault::Configure("store.mmap.map=once/unavailable").ok());
   const uint64_t retries_before = SnapshotRetries();
-  const auto gem = LoadSnapshotWithRetry(*snapshot_path_, FastRetry(3));
+  const auto gem =
+      store::LoadSnapshotAutoWithRetry(*snapshot_path_, FastRetry(3));
   ASSERT_TRUE(gem.ok()) << gem.status().ToString();
-  EXPECT_EQ(fault::HitCount("serve.snapshot.read"), 2u);
+  EXPECT_EQ(fault::HitCount("store.mmap.map"), 2u);
   EXPECT_EQ(SnapshotRetries() - retries_before, 1u);
 }
 
 TEST_F(ChaosTest, RetryGivesUpAfterMaxAttempts) {
   ASSERT_TRUE(
-      fault::Configure("serve.snapshot.read=always/unavailable").ok());
-  const auto gem = LoadSnapshotWithRetry(*snapshot_path_, FastRetry(3));
+      fault::Configure("store.mmap.map=always/unavailable").ok());
+  const auto gem =
+      store::LoadSnapshotAutoWithRetry(*snapshot_path_, FastRetry(3));
   EXPECT_EQ(gem.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(fault::HitCount("serve.snapshot.read"), 3u);
+  EXPECT_EQ(fault::HitCount("store.mmap.map"), 3u);
 }
 
 TEST_F(ChaosTest, TerminalCodesAreNotRetried) {
-  // An injected CRC mismatch is corruption: retrying cannot help and
-  // must not happen.
-  ASSERT_TRUE(fault::Configure("serve.snapshot.crc=always/data_loss").ok());
+  // An injected validation failure is corruption: retrying cannot help
+  // and must not happen.
+  ASSERT_TRUE(
+      fault::Configure("store.snapshot.validate=always/data_loss").ok());
   const uint64_t retries_before = SnapshotRetries();
-  const auto gem = LoadSnapshotWithRetry(*snapshot_path_, FastRetry(3));
+  const auto gem =
+      store::LoadSnapshotAutoWithRetry(*snapshot_path_, FastRetry(3));
   EXPECT_EQ(gem.code(), StatusCode::kDataLoss);
-  EXPECT_EQ(fault::HitCount("serve.snapshot.crc"), 1u);
+  EXPECT_EQ(fault::HitCount("store.snapshot.validate"), 1u);
   EXPECT_EQ(SnapshotRetries() - retries_before, 0u);
 }
 
@@ -277,14 +281,14 @@ TEST_F(ChaosTest, SaveRenameInjectionLeavesNoArtifacts) {
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
   core::Gem gem = LoadModel();
-  ASSERT_TRUE(fault::Configure("serve.snapshot.rename=once/internal").ok());
-  EXPECT_EQ(SaveSnapshot(path, gem).code(), StatusCode::kInternal);
+  ASSERT_TRUE(fault::Configure("store.snapshot.rename=once/internal").ok());
+  EXPECT_EQ(store::SaveSnapshotV2(path, gem).code(), StatusCode::kInternal);
   // Neither a torn final file nor a leftover temp file.
   EXPECT_FALSE(std::ifstream(path).good());
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());
   // With the failpoint exhausted the same save completes and loads.
-  ASSERT_TRUE(SaveSnapshot(path, gem).ok());
-  EXPECT_TRUE(LoadSnapshot(path).ok());
+  ASSERT_TRUE(store::SaveSnapshotV2(path, gem).ok());
+  EXPECT_TRUE(store::LoadSnapshotAuto(path).ok());
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());
 }
 
@@ -445,7 +449,7 @@ TEST_F(ChaosTest, ReloadStormNeverInterruptsServing) {
   ASSERT_TRUE(registry.Install("home", LoadModel()).ok());
   Engine engine(&registry, EngineOptions{/*num_threads=*/2});
   ASSERT_TRUE(
-      fault::Configure("serve.snapshot.read=prob=0.5@5/unavailable").ok());
+      fault::Configure("store.mmap.map=prob=0.5@5/unavailable").ok());
 
   const uint64_t failures_before = ReloadFailures("reload");
   std::atomic<bool> stop{false};

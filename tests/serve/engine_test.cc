@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -12,7 +13,7 @@
 #include "core/gem.h"
 #include "rf/dataset.h"
 #include "serve/fence_registry.h"
-#include "serve/snapshot.h"
+#include "store/snapshot_v2.h"
 
 namespace gem::serve {
 namespace {
@@ -46,7 +47,7 @@ class ServeTest : public ::testing::Test {
     core::Gem gem(FastConfig());
     ASSERT_TRUE(gem.Train(dataset_->train).ok());
     snapshot_path_ = new std::string(TempPath("engine_test_model.gem"));
-    ASSERT_TRUE(SaveSnapshot(*snapshot_path_, gem).ok());
+    ASSERT_TRUE(store::SaveSnapshotV2(*snapshot_path_, gem).ok());
   }
 
   static void TearDownTestSuite() {
@@ -57,7 +58,7 @@ class ServeTest : public ::testing::Test {
   }
 
   static core::Gem LoadModel() {
-    auto gem = LoadSnapshot(*snapshot_path_);
+    auto gem = store::LoadSnapshotAuto(*snapshot_path_);
     EXPECT_TRUE(gem.ok()) << gem.status().ToString();
     return std::move(gem).value();
   }
@@ -206,6 +207,42 @@ TEST_F(ServeTest, ConcurrentFencesWithRacingUpdatesAndReload) {
   // The last home_0 pass starts after the reload, so it must observe
   // generation 2.
   EXPECT_GT(reloaded_generation_seen.load(), 0);
+}
+
+// A snapshot written by the store's writer installs through the
+// registry and serves exactly what the in-memory model it came from
+// serves: same scores bit for bit, same decisions, same absorptions.
+TEST_F(ServeTest, InstallFromSnapshotServesSavedModelBitExactly) {
+  core::Gem gem(FastConfig());
+  ASSERT_TRUE(gem.Train(dataset_->train).ok());
+  const std::string path = TempPath("engine_test_install.gem");
+  ASSERT_TRUE(store::SaveSnapshotV2(path, gem).ok());
+
+  FenceRegistry registry;
+  const auto generation = registry.InstallFromSnapshot("home", path);
+  ASSERT_TRUE(generation.ok()) << generation.status().ToString();
+  EXPECT_EQ(generation.value(), 1u);
+  const std::shared_ptr<Fence> fence = registry.Find("home");
+  ASSERT_NE(fence, nullptr);
+
+  const auto bits = [](double v) {
+    uint64_t out;
+    std::memcpy(&out, &v, sizeof(out));
+    return out;
+  };
+  core::GemOverlay overlay;
+  int absorbed = 0;
+  for (const rf::ScanRecord& record : dataset_->test) {
+    const core::InferenceResult expected = gem.Infer(record, overlay);
+    const core::InferenceResult served =
+        fence->gem.Infer(record, fence->overlay);
+    ASSERT_EQ(bits(served.score), bits(expected.score));
+    ASSERT_EQ(served.decision, expected.decision);
+    ASSERT_EQ(served.model_updated, expected.model_updated);
+    absorbed += expected.model_updated ? 1 : 0;
+  }
+  // Self-enhancement ran, so the detector state round-tripped too.
+  EXPECT_GT(absorbed, 0);
 }
 
 TEST_F(ServeTest, BackpressureRejectsWhenQueueFull) {

@@ -20,6 +20,7 @@
 #include "rf/dataset.h"
 #include "serve/fence.h"
 #include "store/snapshot_v2.h"
+#include "tests/common/test_snapshots.h"
 
 namespace gem::store {
 namespace {
@@ -46,8 +47,8 @@ uint64_t Evictions() {
       .value();
 }
 
-/// Trains one small model per process and snapshots it in both
-/// formats; cache tests register many fence ids against these files.
+/// Trains one small model per process and snapshots it to two files;
+/// cache tests register many fence ids against these files.
 class FenceCacheTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -63,29 +64,29 @@ class FenceCacheTest : public ::testing::Test {
     config.bisage.epochs = 1;
     core::Gem gem(config);
     ASSERT_TRUE(gem.Train(dataset_->train).ok());
-    v1_path_ = new std::string(TempPath("fence_cache_model_v1.gem"));
     v2_path_ = new std::string(TempPath("fence_cache_model_v2.gem"));
-    ASSERT_TRUE(serve::SaveSnapshot(*v1_path_, gem).ok());
+    other_path_ = new std::string(TempPath("fence_cache_model_other.gem"));
     ASSERT_TRUE(SaveSnapshotV2(*v2_path_, gem).ok());
+    ASSERT_TRUE(SaveSnapshotV2(*other_path_, gem).ok());
   }
 
   static void TearDownTestSuite() {
     delete dataset_;
-    delete v1_path_;
     delete v2_path_;
+    delete other_path_;
     dataset_ = nullptr;
-    v1_path_ = nullptr;
     v2_path_ = nullptr;
+    other_path_ = nullptr;
   }
 
   static rf::Dataset* dataset_;
-  static std::string* v1_path_;
   static std::string* v2_path_;
+  static std::string* other_path_;
 };
 
 rf::Dataset* FenceCacheTest::dataset_ = nullptr;
-std::string* FenceCacheTest::v1_path_ = nullptr;
 std::string* FenceCacheTest::v2_path_ = nullptr;
+std::string* FenceCacheTest::other_path_ = nullptr;
 
 TEST_F(FenceCacheTest, OptionsValidate) {
   FenceCacheOptions options;
@@ -118,13 +119,21 @@ TEST_F(FenceCacheTest, AcquireColdLoadsThenHits) {
   EXPECT_EQ(Misses() - misses_before, 1u);
 }
 
-TEST_F(FenceCacheTest, BothSnapshotVersionsLoad) {
+TEST_F(FenceCacheTest, V1SnapshotIsRejectedCleanly) {
+  const std::string v1_path = TempPath("fence_cache_model_v1.gem");
+  testing::WriteV1Snapshot(v1_path);
   FenceCache cache;
-  ASSERT_TRUE(cache.Register("v1", *v1_path_).ok());
+  ASSERT_TRUE(cache.Register("v1", v1_path).ok());
   ASSERT_TRUE(cache.Register("v2", *v2_path_).ok());
-  EXPECT_TRUE(cache.Acquire("v1").ok());
+  const auto rejected = cache.Acquire("v1");
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("v1"), std::string::npos)
+      << rejected.status().ToString();
+  // Nothing was cached for the rejected id; the v2 neighbour serves.
+  EXPECT_EQ(cache.resident(), 0u);
   EXPECT_TRUE(cache.Acquire("v2").ok());
-  EXPECT_EQ(cache.resident(), 2u);
+  EXPECT_EQ(cache.resident(), 1u);
 }
 
 TEST_F(FenceCacheTest, UnknownAndMissingAreNotFound) {
@@ -210,13 +219,13 @@ TEST_F(FenceCacheTest, InvalidateForcesReloadUnderNewGeneration) {
 
 TEST_F(FenceCacheTest, RegisterRepointInvalidatesSamePathDoesNot) {
   FenceCache cache;
-  ASSERT_TRUE(cache.Register("home", *v1_path_).ok());
+  ASSERT_TRUE(cache.Register("home", *other_path_).ok());
   ASSERT_TRUE(cache.Acquire("home").ok());
   EXPECT_EQ(cache.resident(), 1u);
 
   // Re-registering the SAME path is a no-op — the resident model still
   // matches the file.
-  ASSERT_TRUE(cache.Register("home", *v1_path_).ok());
+  ASSERT_TRUE(cache.Register("home", *other_path_).ok());
   EXPECT_EQ(cache.resident(), 1u);
 
   // Repointing to a different file drops the stale resident.

@@ -16,9 +16,9 @@
 #include "core/gem.h"
 #include "core/overlay.h"
 #include "rf/dataset.h"
-#include "serve/snapshot.h"
 #include "store/fence_cache.h"
 #include "store/snapshot_v2.h"
+#include "tests/common/test_snapshots.h"
 
 namespace gem::store {
 namespace {
@@ -62,12 +62,12 @@ TEST(MappedModelTest, MissingFileIsNotFound) {
 }
 
 TEST(MappedModelTest, RejectsV1Snapshots) {
-  const rf::Dataset data = SmallDataset();
-  core::Gem gem = TrainedGem(data);
   const std::string path = TempPath("mapped_v1.snap");
-  ASSERT_TRUE(serve::SaveSnapshot(path, gem).ok());
+  testing::WriteV1Snapshot(path);
   const StatusOr<MappedModel> mapped = MappedModel::Open(path);
   EXPECT_EQ(mapped.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(mapped.status().message().find("v1"), std::string::npos)
+      << mapped.status().ToString();
 }
 
 TEST(MappedModelTest, RejectsOverBudgetFiles) {
@@ -89,7 +89,7 @@ TEST(MappedModelTest, MappedLoadMatchesCopyLoadBitExactly) {
   const std::string path = TempPath("mapped_identity.snap");
   ASSERT_TRUE(SaveSnapshotV2(path, trained).ok());
 
-  StatusOr<core::Gem> copied = LoadSnapshotV2(path);
+  StatusOr<core::Gem> copied = LoadSnapshotAuto(path);
   ASSERT_TRUE(copied.ok()) << copied.status().ToString();
   StatusOr<MappedModel> mapped = MappedModel::Open(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
@@ -148,7 +148,6 @@ TEST(FenceCacheMappedTest, EvictionKeepsPinnedBorrowedViewsAlive) {
 
   FenceCacheOptions options;
   options.capacity = 1;
-  options.mapped_load = true;
   FenceCache cache(options);
   ASSERT_TRUE(cache.Register("a", path_a).ok());
   ASSERT_TRUE(cache.Register("b", path_b).ok());
@@ -203,8 +202,6 @@ TEST(FenceCacheMappedTest, FlushOnEvictPersistsOverlayBitExactly) {
 
   FenceCacheOptions options;
   options.capacity = 1;
-  options.mapped_load = true;
-  options.flush_on_evict = true;
   FenceCache cache(options);
   ASSERT_TRUE(cache.Register("home", path).ok());
   ASSERT_TRUE(cache.Register("decoy", decoy).ok());

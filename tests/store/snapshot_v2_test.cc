@@ -1,11 +1,11 @@
-// Store-layer snapshot tests: the v2 mmap layout must carry the same
-// acceptance bar as v1 — a save -> load cycle yields BIT-identical
-// Infer scores — plus the structural guarantees the LRU cache leans
-// on: every byte of a v2 file is either CRC-covered or
-// required-to-be-zero, so truncation, bit flips, misaligned sections
-// and out-of-bounds table entries all surface as clean errors from the
-// in-place validation pass, never as UB over the mapping. This suite
-// runs under ASan/UBSan in CI.
+// Store-layer snapshot tests: a save -> load cycle yields
+// BIT-identical Infer scores to the in-memory model, a v1 file is
+// rejected cleanly, and the v2 layout carries the structural
+// guarantees the LRU cache leans on: every byte of a v2 file is either
+// CRC-covered or required-to-be-zero, so truncation, bit flips,
+// misaligned sections and out-of-bounds table entries all surface as
+// clean errors from the in-place validation pass, never as UB over the
+// mapping. This suite runs under ASan/UBSan in CI.
 #include "store/snapshot_v2.h"
 
 #include <gtest/gtest.h>
@@ -19,9 +19,9 @@
 
 #include "core/gem.h"
 #include "rf/dataset.h"
-#include "serve/snapshot.h"
-#include "serve/wire.h"
 #include "store/format.h"
+#include "store/wire.h"
+#include "tests/common/test_snapshots.h"
 
 namespace gem::store {
 namespace {
@@ -96,8 +96,8 @@ std::string PatchSectionOffset(std::string bytes, size_t entry,
   const uint32_t section_count = GetU32At(bytes, 12);
   const std::string_view table(bytes.data() + kHeaderSize,
                                section_count * kTableEntrySize);
-  PutU32At(&bytes, 32, serve::Crc32(table));
-  PutU32At(&bytes, 36, serve::Crc32(std::string_view(bytes.data(), 36)));
+  PutU32At(&bytes, 32, Crc32(table));
+  PutU32At(&bytes, 36, Crc32(std::string_view(bytes.data(), 36)));
   return bytes;
 }
 
@@ -106,41 +106,43 @@ class SnapshotV2Test : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     dataset_ = new rf::Dataset(SmallDataset());
-    core::Gem gem(FastConfig());
-    ASSERT_TRUE(gem.Train(dataset_->train).ok());
-    v1_path_ = new std::string(TempPath("store_v2_test_model_v1.gem"));
+    trained_ = new core::Gem(FastConfig());
+    ASSERT_TRUE(trained_->Train(dataset_->train).ok());
     v2_path_ = new std::string(TempPath("store_v2_test_model_v2.gem"));
-    ASSERT_TRUE(serve::SaveSnapshot(*v1_path_, gem).ok());
-    ASSERT_TRUE(SaveSnapshotV2(*v2_path_, gem).ok());
+    ASSERT_TRUE(SaveSnapshotV2(*v2_path_, *trained_).ok());
   }
 
   static void TearDownTestSuite() {
     delete dataset_;
-    delete v1_path_;
+    delete trained_;
     delete v2_path_;
     dataset_ = nullptr;
-    v1_path_ = nullptr;
+    trained_ = nullptr;
     v2_path_ = nullptr;
   }
 
   static rf::Dataset* dataset_;
-  static std::string* v1_path_;
+  /// The in-memory model the snapshot was saved from. Streams run
+  /// through the const overlay API, so it never changes.
+  static core::Gem* trained_;
   static std::string* v2_path_;
 };
 
 rf::Dataset* SnapshotV2Test::dataset_ = nullptr;
-std::string* SnapshotV2Test::v1_path_ = nullptr;
+core::Gem* SnapshotV2Test::trained_ = nullptr;
 std::string* SnapshotV2Test::v2_path_ = nullptr;
 
-/// Streams the whole test segment through both models and requires
-/// bit-identical scores, decisions, and self-enhancement updates —
-/// the same bar the v1 round-trip test sets.
-void ExpectBitIdenticalStreams(core::Gem& a, core::Gem& b,
+/// Streams the whole test segment through both models, each against a
+/// fresh overlay, and requires bit-identical scores, decisions, and
+/// self-enhancement updates.
+void ExpectBitIdenticalStreams(const core::Gem& a, const core::Gem& b,
                                const rf::Dataset& data) {
+  core::GemOverlay overlay_a;
+  core::GemOverlay overlay_b;
   int absorbed = 0;
   for (const rf::ScanRecord& record : data.test) {
-    const core::InferenceResult ra = a.Infer(record);
-    const core::InferenceResult rb = b.Infer(record);
+    const core::InferenceResult ra = a.Infer(record, overlay_a);
+    const core::InferenceResult rb = b.Infer(record, overlay_b);
     ASSERT_EQ(Bits(ra.score), Bits(rb.score));
     ASSERT_EQ(ra.decision, rb.decision);
     ASSERT_EQ(ra.model_updated, rb.model_updated);
@@ -151,45 +153,42 @@ void ExpectBitIdenticalStreams(core::Gem& a, core::Gem& b,
   EXPECT_GT(absorbed, 0);
 }
 
-TEST_F(SnapshotV2Test, V2RoundTripInferenceIsBitIdenticalToV1) {
-  auto from_v1 = serve::LoadSnapshot(*v1_path_);
-  ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
-  auto from_v2 = LoadSnapshotV2(*v2_path_);
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
-  ExpectBitIdenticalStreams(from_v1.value(), from_v2.value(), *dataset_);
-}
-
-TEST_F(SnapshotV2Test, MigratedV1SnapshotIsBitIdentical) {
-  const std::string migrated = TempPath("store_v2_migrated.gem");
-  ASSERT_TRUE(MigrateSnapshot(*v1_path_, migrated).ok());
-  ASSERT_EQ(PeekSnapshotVersion(migrated).value(), 2u);
-
-  auto original = serve::LoadSnapshot(*v1_path_);
-  ASSERT_TRUE(original.ok());
-  auto loaded = LoadSnapshotV2(migrated);
+TEST_F(SnapshotV2Test, RoundTripInferenceIsBitIdentical) {
+  auto loaded = LoadSnapshotAuto(*v2_path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectBitIdenticalStreams(original.value(), loaded.value(), *dataset_);
+  ExpectBitIdenticalStreams(*trained_, loaded.value(), *dataset_);
 }
 
-TEST_F(SnapshotV2Test, SaveIsDeterministic) {
-  auto gem = LoadSnapshotV2(*v2_path_);
+TEST_F(SnapshotV2Test, ReSaveAfterLoadIsIdenticalBytes) {
+  auto gem = LoadSnapshotAuto(*v2_path_);
   ASSERT_TRUE(gem.ok());
   const std::string resaved = TempPath("store_v2_resaved.gem");
   ASSERT_TRUE(SaveSnapshotV2(resaved, gem.value()).ok());
   EXPECT_EQ(ReadFile(*v2_path_), ReadFile(resaved));
 }
 
-TEST_F(SnapshotV2Test, AutoLoadDispatchesOnVersion) {
-  ASSERT_EQ(PeekSnapshotVersion(*v1_path_).value(), 1u);
-  ASSERT_EQ(PeekSnapshotVersion(*v2_path_).value(), 2u);
-  EXPECT_TRUE(LoadSnapshotAuto(*v1_path_).ok());
-  EXPECT_TRUE(LoadSnapshotAuto(*v2_path_).ok());
-  // The v2-only loader refuses a v1 file with a version error, not a
-  // corruption error — the file is fine, the caller picked the wrong
-  // entry point.
-  const auto wrong = LoadSnapshotV2(*v1_path_);
-  ASSERT_FALSE(wrong.ok());
-  EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
+// v1 is no longer readable: a well-formed v1 file is a version error
+// (kInvalidArgument naming v1), never a corruption or truncation error.
+TEST_F(SnapshotV2Test, V1SnapshotIsRejectedCleanly) {
+  const std::string path = TempPath("store_v2_v1_header.gem");
+  testing::WriteV1Snapshot(path);
+  const auto loaded = LoadSnapshotAuto(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("v1"), std::string::npos)
+      << loaded.status().ToString();
+  const auto inspected = InspectSnapshot(path);
+  ASSERT_FALSE(inspected.ok());
+  EXPECT_EQ(inspected.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(SnapshotV2Test, BadMagicRejected) {
+  const std::string path = TempPath("store_v2_bad_magic.gem");
+  WriteFile(path, "NOTASNAP" + std::string(64, '\0'));
+  const auto loaded = LoadSnapshotAuto(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(InspectSnapshot(path).status().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(SnapshotV2Test, FutureVersionRejected) {
@@ -197,7 +196,7 @@ TEST_F(SnapshotV2Test, FutureVersionRejected) {
   const std::string path = TempPath("store_v2_future.gem");
   PutU32At(&bytes, 8, 3);
   // Re-seal the header CRC so ONLY the version check can fire.
-  PutU32At(&bytes, 36, serve::Crc32(std::string_view(bytes.data(), 36)));
+  PutU32At(&bytes, 36, Crc32(std::string_view(bytes.data(), 36)));
   WriteFile(path, bytes);
   const auto loaded = LoadSnapshotAuto(path);
   ASSERT_FALSE(loaded.ok());
@@ -205,7 +204,7 @@ TEST_F(SnapshotV2Test, FutureVersionRejected) {
 }
 
 TEST_F(SnapshotV2Test, MissingFileIsNotFound) {
-  const auto loaded = LoadSnapshotV2(TempPath("store_v2_missing.gem"));
+  const auto loaded = LoadSnapshotAuto(TempPath("store_v2_missing.gem"));
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
@@ -221,7 +220,7 @@ TEST_F(SnapshotV2Test, TruncationAtAnyLengthFailsCleanly) {
   for (const size_t cut : cuts) {
     SCOPED_TRACE("cut at " + std::to_string(cut));
     WriteFile(cut_path, bytes.substr(0, cut));
-    const auto loaded = LoadSnapshotV2(cut_path);
+    const auto loaded = LoadSnapshotAuto(cut_path);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
   }
@@ -249,7 +248,7 @@ TEST_F(SnapshotV2Test, AnyFlippedByteFailsCleanly) {
     std::string corrupt = bytes;
     corrupt[offset] = static_cast<char>(corrupt[offset] ^ 0x40);
     WriteFile(flip_path, corrupt);
-    const auto loaded = LoadSnapshotV2(flip_path);
+    const auto loaded = LoadSnapshotAuto(flip_path);
     ASSERT_FALSE(loaded.ok());
     EXPECT_TRUE(loaded.status().code() == StatusCode::kDataLoss ||
                 loaded.status().code() == StatusCode::kInvalidArgument)
@@ -260,7 +259,7 @@ TEST_F(SnapshotV2Test, AnyFlippedByteFailsCleanly) {
 TEST_F(SnapshotV2Test, TrailingBytesRejected) {
   const std::string path = TempPath("store_v2_trailing.gem");
   WriteFile(path, ReadFile(*v2_path_) + '\0');
-  const auto loaded = LoadSnapshotV2(path);
+  const auto loaded = LoadSnapshotAuto(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
 }
@@ -279,7 +278,7 @@ TEST_F(SnapshotV2Test, MisalignedSectionOffsetRejected) {
     // could mis-handle (1 = arbitrary, 8 = still double-aligned).
     for (const uint64_t delta : {1ull, 8ull}) {
       WriteFile(path, PatchSectionOffset(bytes, entry, offset + delta));
-      const auto loaded = LoadSnapshotV2(path);
+      const auto loaded = LoadSnapshotAuto(path);
       ASSERT_FALSE(loaded.ok());
       EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
     }
@@ -300,23 +299,14 @@ TEST_F(SnapshotV2Test, OutOfBoundsSectionOffsetRejected) {
       SCOPED_TRACE("entry " + std::to_string(entry) + " offset " +
                    std::to_string(bad));
       WriteFile(path, PatchSectionOffset(bytes, entry, bad));
-      const auto loaded = LoadSnapshotV2(path);
+      const auto loaded = LoadSnapshotAuto(path);
       ASSERT_FALSE(loaded.ok());
       EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
     }
   }
 }
 
-TEST_F(SnapshotV2Test, InspectReportsBothVersions) {
-  const auto v1 = InspectSnapshot(*v1_path_);
-  ASSERT_TRUE(v1.ok());
-  EXPECT_EQ(v1.value().version, 1u);
-  EXPECT_TRUE(v1.value().layout_ok) << v1.value().layout_error;
-  ASSERT_EQ(v1.value().sections.size(), 4u);
-  for (const SectionInfo& section : v1.value().sections) {
-    EXPECT_TRUE(section.crc_ok) << section.name;
-  }
-
+TEST_F(SnapshotV2Test, InspectReportsLayoutAndChecksums) {
   const auto v2 = InspectSnapshot(*v2_path_);
   ASSERT_TRUE(v2.ok());
   EXPECT_EQ(v2.value().version, 2u);

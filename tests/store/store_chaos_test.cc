@@ -21,7 +21,6 @@
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "rf/dataset.h"
-#include "serve/snapshot.h"
 #include "store/fence_cache.h"
 #include "store/snapshot_v2.h"
 
@@ -43,8 +42,8 @@ uint64_t LoadRetries() {
       .value();
 }
 
-serve::RetryOptions FastRetry(int attempts) {
-  serve::RetryOptions retry;
+RetryOptions FastRetry(int attempts) {
+  RetryOptions retry;
   retry.max_attempts = attempts;
   retry.initial_backoff = std::chrono::milliseconds(1);
   return retry;
@@ -98,11 +97,11 @@ TEST_F(StoreChaosTest, TransientOpenFailureRetriesAndRecovers) {
 
 TEST_F(StoreChaosTest, MapFailureSurfacesCleanlyThenClears) {
   ASSERT_TRUE(fault::Configure("store.mmap.map=always/internal").ok());
-  const auto failed = LoadSnapshotV2(*v2_path_);
+  const auto failed = LoadSnapshotAuto(*v2_path_);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
   fault::Reset();
-  EXPECT_TRUE(LoadSnapshotV2(*v2_path_).ok());
+  EXPECT_TRUE(LoadSnapshotAuto(*v2_path_).ok());
 }
 
 TEST_F(StoreChaosTest, ValidateFailureIsNotRetriedAsDataLoss) {
@@ -119,7 +118,7 @@ TEST_F(StoreChaosTest, ValidateFailureIsNotRetriedAsDataLoss) {
 }
 
 TEST_F(StoreChaosTest, FailedSaveLeavesNoFileBehind) {
-  auto gem = LoadSnapshotV2(*v2_path_);
+  auto gem = LoadSnapshotAuto(*v2_path_);
   ASSERT_TRUE(gem.ok());
 
   // TempDir persists across runs of this binary; the success saves at
